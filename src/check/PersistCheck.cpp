@@ -131,6 +131,11 @@ void PersistCheck::endTxn() {
   S->ReportedWords.clear();
 }
 
+bool PersistCheck::inTxn() {
+  MutexLock Guard(M);
+  return currentScope() != nullptr;
+}
+
 void PersistCheck::decodeLogStore(const LogRegion &Region, uintptr_t Addr,
                                   uint64_t NewVal, uint64_t Seq,
                                   TxnScope *Scope) {

@@ -146,6 +146,9 @@ public:
   /// (diagnostic 1). No-op without an open scope.
   void endTxn();
 
+  /// True when the calling OS thread has an open scope.
+  bool inTxn();
+
   /// Diagnostic queries. reports() returns at most MaxStoredReports
   /// entries; the counters are exact.
   uint64_t violationCount() const;

@@ -505,11 +505,13 @@ std::vector<TxRaceReport> TxRaceCheck::reports() const {
   return Reports;
 }
 
-std::string TxRaceCheck::formatReports(size_t MaxLines) const {
-  std::vector<TxRaceReport> Copy = reports();
+static std::string formatSelected(const std::vector<TxRaceReport> &Reports,
+                                  size_t MaxLines, bool ViolationsOnly) {
   std::string Out;
   size_t N = 0;
-  for (const TxRaceReport &R : Copy) {
+  for (const TxRaceReport &R : Reports) {
+    if (ViolationsOnly && !isRaceViolation(R.Kind))
+      continue;
     if (N++ == MaxLines) {
       Out += "  ... (more reports suppressed)\n";
       break;
@@ -532,6 +534,14 @@ std::string TxRaceCheck::formatReports(size_t MaxLines) const {
     Out += Line;
   }
   return Out;
+}
+
+std::string TxRaceCheck::formatReports(size_t MaxLines) const {
+  return formatSelected(reports(), MaxLines, /*ViolationsOnly=*/false);
+}
+
+std::string TxRaceCheck::formatViolations(size_t MaxLines) const {
+  return formatSelected(reports(), MaxLines, /*ViolationsOnly=*/true);
 }
 
 CheckReport TxRaceCheck::checkReport() const {

@@ -236,6 +236,8 @@ public:
   std::vector<TxRaceReport> reports() const;
   /// Human-readable rendering of up to \p MaxLines stored reports.
   std::string formatReports(size_t MaxLines = 32) const;
+  /// Like formatReports, but skips lints: only violations are rendered.
+  std::string formatViolations(size_t MaxLines = 32) const;
   /// Machine-readable rendering (check/CheckReport.h).
   CheckReport checkReport() const;
   void clearReports();

@@ -150,8 +150,7 @@ HtmStats CraftyRuntime::htmStatsFor(unsigned ThreadId) const {
 }
 
 bool CraftyRuntime::forceEmptyCommit(CraftyThread &Forcer,
-                                     CraftyThread &Victim,
-                                     uint64_t *ForcedHeadOut) {
+                                     CraftyThread &Victim, ForcedTag *Out) {
   size_t TagSlot = 0;
   uint64_t ForcedHead = 0;
   TxResult R = runHtmTx(Forcer.ForceTx, [&](HtmTx &T) {
@@ -167,8 +166,8 @@ bool CraftyRuntime::forceEmptyCommit(CraftyThread &Forcer,
   });
   if (!R.Committed)
     return false;
-  if (ForcedHeadOut)
-    *ForcedHeadOut = ForcedHead;
+  if (Out)
+    *Out = ForcedTag{ForcedHead, R.CommitVersion};
   // Flushed by the forcer; drained at the forcer's next commit fence,
   // i.e. before any entry the forcer may then overwrite can persist.
   Pool.clwb(Forcer.ThreadId, Victim.Log.addrWordAt(TagSlot));
@@ -223,38 +222,63 @@ void CraftyRuntime::persistBarrier(unsigned CallerThreadId) {
 
 void CraftyRuntime::persistBarrierBegin(unsigned CallerThreadId,
                                         PersistBarrierTicket &T) {
-  // Persist every committed write (models a full cache write-back), then
-  // move every thread's last sequence past all prior transactions so
-  // recovery's rollback threshold lands after them.
-  // Fast path: if every context's head still equals the value a previous
-  // barrier published after its drain, no transaction has committed
-  // anywhere since a fully persisted barrier, so its horizon -- and every
-  // flush it performed -- still covers the pool. The check must hold for
-  // all contexts at once; see CraftyThread::ForcedUpTo.
+  // Move every thread's last sequence past all prior transactions so
+  // recovery's rollback threshold lands after them, then persist every
+  // committed write (models a full cache write-back).
+  // Fast path: if every context's head and last commit timestamp still
+  // equal the values a previous barrier published after its drain, no
+  // transaction has committed anywhere since a fully persisted barrier,
+  // so its horizon -- and every flush it performed -- still covers the
+  // pool. The check must hold for all contexts at once; see
+  // CraftyThread::ForcedUpTo.
   T.Pending = false;
   bool Quiet = true;
   for (auto &Th : Threads)
     if (Htm.nonTxLoad(&Th->HeadShared) !=
-        Th->ForcedUpTo.load(std::memory_order_acquire)) {
+            Th->ForcedUpTo.load(std::memory_order_acquire) ||
+        Htm.nonTxLoad(&Th->LastCommittedTs) !=
+            Th->ForcedTs.load(std::memory_order_acquire)) {
       Quiet = false;
       break;
     }
   if (Quiet)
     return;
-  // The write-back latency is charged to the caller's drain deadline;
-  // persistBarrierEnd's drain waits it out together with the forced
-  // tags' CLWBs below.
-  Pool.flushEverythingDeferred(CallerThreadId);
+  // The forced tags' stores belong to the caller's flush chain: it
+  // flushes them here and drains them in persistBarrierEnd. Attribute
+  // them to the caller unless this OS thread already has a scope open
+  // (a barrier issued from inside a transaction keeps that scope).
+  bool OwnScope = Checker && !Checker->inTxn();
+  if (OwnScope) {
+    Checker->beginTxn(CallerThreadId);
+    Checker->setPhase("barrier");
+  }
   CraftyThread &Caller = *Threads[CallerThreadId];
   T.Pending = true;
-  T.ForcedHeads.assign(Threads.size(), 0);
+  T.Forced.assign(Threads.size(), ForcedTag{});
+  // Publishable only if no other commit took a clock value between two
+  // forces: such a commit is newer than the first forced tag, where
+  // recovery's threshold may land, so it would be rolled back while
+  // later barriers report quiet.
+  bool Publish = true;
   for (size_t I = 0; I != Threads.size(); ++I) {
-    for (unsigned Try = 0; Try != Config.ForceRetryLimit; ++Try) {
-      if (forceEmptyCommit(Caller, *Threads[I], &T.ForcedHeads[I]))
-        break;
-      std::this_thread::yield();
+    bool Forced = false;
+    for (unsigned Try = 0; !Forced && Try != Config.ForceRetryLimit; ++Try) {
+      Forced = forceEmptyCommit(Caller, *Threads[I], &T.Forced[I]);
+      if (!Forced)
+        std::this_thread::yield();
     }
+    Publish = Publish && Forced && T.Forced[I].Ts == T.Forced[0].Ts + I;
   }
+  if (!Publish)
+    T.Forced.clear();
+  // Write back only now: every commit ordered before a forced tag -- and
+  // so below the new horizon -- has its writes in the volatile view. The
+  // write-back latency is charged to the caller's drain deadline;
+  // persistBarrierEnd's drain waits it out together with the forced
+  // tags' CLWBs.
+  Pool.flushEverythingDeferred(CallerThreadId);
+  if (OwnScope)
+    Checker->endTxn();
 }
 
 void CraftyRuntime::persistBarrierEnd(unsigned CallerThreadId,
@@ -262,14 +286,12 @@ void CraftyRuntime::persistBarrierEnd(unsigned CallerThreadId,
   if (!T.Pending)
     return;
   T.Pending = false;
-  Pool.drain(CallerThreadId); // Persist the write-back + the forced tags.
-  // Publish the forced heads only now that the tags have drained; a 0
-  // means the force lost every retry to an actively committing context,
-  // whose moving head would fail the fast-path check anyway.
-  for (size_t I = 0; I != Threads.size(); ++I)
-    if (T.ForcedHeads[I])
-      Threads[I]->ForcedUpTo.store(T.ForcedHeads[I],
-                                   std::memory_order_release);
+  Pool.drain(CallerThreadId); // Persist the forced tags + the write-back.
+  // Publish the forced tags only now that they have drained.
+  for (size_t I = 0; I != T.Forced.size(); ++I) {
+    Threads[I]->ForcedUpTo.store(T.Forced[I].Head, std::memory_order_release);
+    Threads[I]->ForcedTs.store(T.Forced[I].Ts, std::memory_order_release);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -202,16 +202,24 @@ private:
   /// threads' forced-commit transactions (Section 5.2).
   alignas(CacheLineBytes) uint64_t HeadShared = 0;
   uint64_t LastCommittedTs = 0;
-  /// Log head right after the tag a *completed* persistBarrier forced
-  /// into this context (~0 until one completes). Published only after
-  /// that barrier's final drain, so when every context's HeadShared still
-  /// equals its ForcedUpTo, nothing has committed anywhere since a fully
-  /// persisted barrier and its recovery horizon still stands -- the next
-  /// barrier can return immediately. The check must span all contexts:
-  /// skipping one idle context alone would leave its newest tag with a
-  /// stale timestamp, dragging recovery's min-over-threads rollback
-  /// threshold below transactions the barrier just persisted.
+  /// Log head and LastCommittedTs right after the tag a *completed*
+  /// persistBarrier forced into this context (~0 until one completes).
+  /// Published only after that barrier's final drain, and only when all
+  /// of its forces succeeded with consecutive clock values, so no other
+  /// commit falls between its forced tags. The head alone does not show
+  /// a commit: only the Log phase moves HeadShared, while a Redo or
+  /// Validate commit (of a Log phase that ran before the forced tag)
+  /// writes just the tag timestamp and LastCommittedTs. Every committing
+  /// path does write LastCommittedTs, with a fresh clock value. So when
+  /// every context's HeadShared and LastCommittedTs still equal these,
+  /// nothing has committed anywhere since a fully persisted barrier and
+  /// its recovery horizon still stands -- the next barrier can return
+  /// immediately. The check must span all contexts: skipping one idle
+  /// context alone would leave its newest tag with a stale timestamp,
+  /// dragging recovery's min-over-threads rollback threshold below
+  /// transactions the barrier just persisted.
   std::atomic<uint64_t> ForcedUpTo{~0ull};
+  std::atomic<uint64_t> ForcedTs{~0ull};
 
   // Current-transaction volatile state.
   Context Ctx{*this};
@@ -260,16 +268,26 @@ private:
   PtmStats Stats;
 };
 
+/// The log head and commit timestamp a forced empty commit left in its
+/// victim's context (CraftyRuntime::forceEmptyCommit).
+struct ForcedTag {
+  uint64_t Head = 0;
+  uint64_t Ts = 0;
+};
+
 /// In-flight state of a two-phase persist barrier (see
 /// CraftyRuntime::persistBarrierBegin). Reusable across barriers.
 struct PersistBarrierTicket {
-  /// Begin took the slow path; End must drain and publish. A quiet
-  /// barrier (nothing committed since the last one) leaves this false
+  /// Begin took the slow path; End must drain. A quiet barrier (nothing
+  /// committed anywhere since the last published one) leaves this false
   /// and End is free.
   bool Pending = false;
-  /// Per-context forced log heads, published as ForcedUpTo by End once
-  /// the forced tags have drained (0 = force lost every retry).
-  std::vector<uint64_t> ForcedHeads;
+  /// Per-context forced tags, published as ForcedUpTo/ForcedTs by End
+  /// once they have drained. Empty when a force lost every retry or
+  /// another commit took a clock value between two forces: such a
+  /// barrier persists what committed before it but publishes nothing,
+  /// so the next barrier takes the slow path again.
+  std::vector<ForcedTag> Forced;
 };
 
 /// The Crafty runtime: shared state, the thread registry, and the
@@ -320,8 +338,9 @@ public:
   /// Two-phase persistBarrier for callers persisting several runtimes
   /// back to back (one KV worker committing a multi-shard cycle): call
   /// persistBarrierBegin on every runtime first, then persistBarrierEnd
-  /// on every runtime. Begin writes the pool back and forces the empty
-  /// commits but does not wait out the write-back latency; End drains
+  /// on every runtime. Begin forces the empty commits and then writes the
+  /// pool back, so the write-back covers every commit ordered before a
+  /// forced tag, but does not wait out the write-back latency; End drains
   /// and publishes the barrier horizon. The fixed drain waits of all the
   /// runtimes then overlap in the End pass instead of serializing --
   /// like issuing every CLWB before a single SFENCE. Begin/End pairs
@@ -354,11 +373,12 @@ private:
   void runExpensiveChecks(CraftyThread &Forcer, uint64_t TargetTs);
 
   /// Appends an empty committed transaction to \p Victim's log from
-  /// \p Forcer's hardware-transaction context. Returns true on success.
-  /// The forced tag's CLWB drains at the forcer's next commit fence.
+  /// \p Forcer's hardware-transaction context. Returns true on success
+  /// and then fills \p Out, when non-null. The forced tag's CLWB drains
+  /// at the forcer's next commit fence.
   CRAFTY_TX_BODY CRAFTY_DRAIN_DEFERRED bool
   forceEmptyCommit(CraftyThread &Forcer, CraftyThread &Victim,
-                   uint64_t *ForcedHeadOut = nullptr);
+                   ForcedTag *Out = nullptr);
 
   PMemPool &Pool;
   HtmRuntime &Htm;

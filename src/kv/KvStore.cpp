@@ -158,6 +158,23 @@ uint64_t KvStore::checkerViolations() {
   return N;
 }
 
+std::string KvStore::formatCheckerViolations() {
+  std::string Out;
+  for (size_t I = 0; I != Shards.size(); ++I) {
+    CraftyRuntime *Rt = Shards[I]->crafty();
+    if (!Rt)
+      continue;
+    std::string Shard;
+    if (PersistCheck *PC = Rt->persistCheck())
+      Shard += PC->formatViolations();
+    if (TxRaceCheck *RC = Rt->raceCheck())
+      Shard += RC->formatViolations();
+    if (!Shard.empty())
+      Out += "shard " + std::to_string(I) + ":\n" + Shard;
+  }
+  return Out;
+}
+
 KvHeapAudit KvStore::auditHeap() const {
   KvHeapAudit A;
   for (const auto &Shard : Shards)

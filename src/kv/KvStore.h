@@ -27,6 +27,7 @@
 #include "kv/KvShard.h"
 
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace crafty {
@@ -89,6 +90,9 @@ public:
   /// Total dynamic-checker violations across all shards (0 when the
   /// checkers are disabled or clean).
   uint64_t checkerViolations();
+  /// The violations behind checkerViolations(), rendered per shard by
+  /// PersistCheck/TxRaceCheck::formatViolations ("" when there are none).
+  std::string formatCheckerViolations();
 
   /// Quiesced heap leak audit summed over all shards: allocated bitmap
   /// pages must equal pages owned by live heap-routed values, with no

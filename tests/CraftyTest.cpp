@@ -704,6 +704,36 @@ TEST(CraftyPhases, PersistBarrierUnderConcurrency) {
   EXPECT_EQ(Data[8], 300u);
 }
 
+static void barrierInLogRedoWindow(void *Ctx, unsigned ThreadId) {
+  auto *H = static_cast<HookState *>(Ctx);
+  if (!H->Armed || ThreadId != 0)
+    return;
+  H->Armed = false;
+  // The barrier forces its tag into thread 0's log after the Log phase's
+  // tag, so the Redo commit that follows moves only thread 0's
+  // LastCommittedTs, not its log head.
+  H->S->Rt.persistBarrier(1);
+}
+
+TEST(CraftyPhases, PersistBarrierCoversRedoAfterForcedTag) {
+  CraftyConfig C = config(2);
+  HookState Hook;
+  C.TestAfterLogCommit = barrierInLogRedoWindow;
+  C.TestHookCtx = &Hook;
+  TestSystem S(C);
+  auto *Data = static_cast<uint64_t *>(S.Rt.carve(64));
+  S.Rt.run(0, [&](TxnContext &Tx) { Tx.store(Data, 1); });
+  Hook = HookState{&S, Data, 0, true};
+  S.Rt.run(0, [&](TxnContext &Tx) { Tx.store(Data, 2); });
+  EXPECT_EQ(S.Rt.txnStats().Redo, 2u);
+  // The second transaction committed before this barrier, which must
+  // therefore not take the quiet fast path.
+  S.Rt.persistBarrier(1);
+  S.Pool.crash();
+  RecoveryObserver::recoverPool(S.Pool);
+  EXPECT_EQ(*Data, 2u);
+}
+
 } // namespace
 
 namespace {

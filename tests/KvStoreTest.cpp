@@ -341,7 +341,9 @@ TEST(KvCrash, SweepCrashAtEveryOpBoundary) {
     Store.simulateCrash();
     Store.recover();
     auditRecovered(Store, Ops, CrashAt, Durable);
-    EXPECT_EQ(Store.checkerViolations(), 0u) << "crash at " << CrashAt;
+    EXPECT_EQ(Store.checkerViolations(), 0u)
+        << "crash at " << CrashAt << "\n"
+        << Store.formatCheckerViolations();
 
     // Recovery must be idempotent: a second crash with no new work
     // recovers to the identical state.
@@ -368,7 +370,8 @@ TEST(KvCrash, SweepCrashAtEveryOpBoundary) {
     std::string Out;
     EXPECT_EQ(Store.get(0, 1000, Out), KvStatus::Ok);
     EXPECT_EQ(Out, "post-recovery");
-    EXPECT_EQ(Store.checkerViolations(), 0u);
+    EXPECT_EQ(Store.checkerViolations(), 0u)
+        << Store.formatCheckerViolations();
   }
 }
 
@@ -475,7 +478,8 @@ TEST(KvHeap, LargeValuesRoundTripThroughHeap) {
   A = Store.auditHeap();
   EXPECT_TRUE(A.consistent());
   EXPECT_EQ(A.LivePages, 0u);
-  EXPECT_EQ(Store.checkerViolations(), 0u);
+  EXPECT_EQ(Store.checkerViolations(), 0u)
+      << Store.formatCheckerViolations();
 }
 
 /// The batched MSET pipeline routes heap-sized values through per-chunk
@@ -506,7 +510,8 @@ TEST(KvHeap, BatchedMsetWithHeapValues) {
   }
   KvHeapAudit A = Store.auditHeap();
   EXPECT_TRUE(A.consistent());
-  EXPECT_EQ(Store.checkerViolations(), 0u);
+  EXPECT_EQ(Store.checkerViolations(), 0u)
+      << Store.formatCheckerViolations();
 }
 
 /// The heap-enabled twin of SweepCrashAtEveryOpBoundary: a script mixing
@@ -544,14 +549,17 @@ TEST(KvHeapCrash, SweepCrashAtEveryOpBoundaryWithHeapValues) {
         << "crash at " << CrashAt << ": " << A.BitmapPages
         << " bitmap pages vs " << A.LivePages << " live, " << A.StagedWal
         << " staged WAL records";
-    EXPECT_EQ(Store.checkerViolations(), 0u) << "crash at " << CrashAt;
+    EXPECT_EQ(Store.checkerViolations(), 0u)
+        << "crash at " << CrashAt << "\n"
+        << Store.formatCheckerViolations();
 
     // The recovered store still serves heap-sized values.
     std::string Big = bigValueFor(1000, CrashAt, 30000), Out;
     EXPECT_EQ(Store.set(0, 1000, Big), KvStatus::Ok);
     ASSERT_EQ(Store.get(0, 1000, Out), KvStatus::Ok);
     EXPECT_EQ(Out, Big);
-    EXPECT_EQ(Store.checkerViolations(), 0u);
+    EXPECT_EQ(Store.checkerViolations(), 0u)
+        << Store.formatCheckerViolations();
   }
 }
 
@@ -671,7 +679,8 @@ TEST(KvServerSmoke, EndToEndOverLoopback) {
   Client.quit();
   EXPECT_GT(Server.requestsServed(), 5u);
   Server.stop();
-  EXPECT_EQ(Store.checkerViolations(), 0u);
+  EXPECT_EQ(Store.checkerViolations(), 0u)
+      << Store.formatCheckerViolations();
 }
 
 //===----------------------------------------------------------------------===//
@@ -797,7 +806,8 @@ TEST(KvServerSmoke, OversizeValueAnswersToobigAndKeepsConnection) {
   KvHeapAudit A = Store.auditHeap();
   EXPECT_TRUE(A.consistent());
   Server.stop();
-  EXPECT_EQ(Store.checkerViolations(), 0u);
+  EXPECT_EQ(Store.checkerViolations(), 0u)
+      << Store.formatCheckerViolations();
 }
 
 //===----------------------------------------------------------------------===//
@@ -915,7 +925,8 @@ TEST(KvServerConcurrent, FourShardMixedLoadWithCheckers) {
   EXPECT_EQ(Failures.load(), 0u);
   EXPECT_GT(Server.requestsServed(), NumConns * OpsPerConn / 2);
   Server.stop();
-  EXPECT_EQ(Store.checkerViolations(), 0u);
+  EXPECT_EQ(Store.checkerViolations(), 0u)
+      << Store.formatCheckerViolations();
 }
 
 /// Cross-shard scatter-gather correctness, including the per-connection
@@ -1003,7 +1014,8 @@ TEST(KvServerConcurrent, CrossShardScatterGatherPipelinedOrdering) {
 
   Client.quit();
   Server.stop();
-  EXPECT_EQ(Store.checkerViolations(), 0u);
+  EXPECT_EQ(Store.checkerViolations(), 0u)
+      << Store.formatCheckerViolations();
 }
 
 //===----------------------------------------------------------------------===//
