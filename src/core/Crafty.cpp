@@ -54,13 +54,6 @@ CraftyRuntime::CraftyRuntime(PMemPool &Pool, HtmRuntime &Htm,
       (Config.LogEntriesPerThread & (Config.LogEntriesPerThread - 1)) != 0)
     fatalError("CraftyRuntime: log size must be a power of two >= 64");
   Htm.setMemoryHooks(Pool.htmHooks());
-  // Forward the contention knobs into the HTM engine before any context
-  // (and thus any transaction) exists.
-  HtmTuning Tuning;
-  Tuning.SnapshotExtension = Config.SnapshotExtension;
-  Tuning.SortWriteSet = Config.SortWriteSet;
-  Tuning.WriteSetHashThreshold = Config.WriteSetHashThreshold;
-  Htm.setTuning(Tuning);
   if (Attach) {
     Header = reinterpret_cast<PoolHeader *>(Pool.base());
     if (Header->Magic != PoolMagic ||
@@ -178,6 +171,10 @@ bool CraftyRuntime::forceEmptyCommit(CraftyThread &Forcer,
   return true;
 }
 
+/// Attempts at forcing one victim's empty commit before a caller yields
+/// (log maintenance) or gives up on that victim (persist barrier).
+static constexpr unsigned MaxForceTries = 64;
+
 void CraftyRuntime::runExpensiveChecks(CraftyThread &Forcer,
                                        uint64_t TargetTs) {
   // Bring every thread's last committed transaction to ts >= TargetTs,
@@ -192,13 +189,13 @@ void CraftyRuntime::runExpensiveChecks(CraftyThread &Forcer,
         break;
       if (forceEmptyCommit(Forcer, Victim))
         break;
-      if (Try >= Config.ForceRetryLimit) {
+      if (Try >= MaxForceTries) {
         // The victim keeps aborting our force transaction, so it is
         // actively committing; wait for its own timestamp to pass the
         // target rather than racing it.
         std::this_thread::yield();
       }
-      if (Try > Config.ForceRetryLimit * 1024)
+      if (Try > MaxForceTries * 1024)
         fatalError("log maintenance cannot force a delinquent thread "
                    "(hardware transactions never commit?)");
     }
@@ -262,7 +259,7 @@ void CraftyRuntime::persistBarrierBegin(unsigned CallerThreadId,
   bool Publish = true;
   for (size_t I = 0; I != Threads.size(); ++I) {
     bool Forced = false;
-    for (unsigned Try = 0; !Forced && Try != Config.ForceRetryLimit; ++Try) {
+    for (unsigned Try = 0; !Forced && Try != MaxForceTries; ++Try) {
       Forced = forceEmptyCommit(Caller, *Threads[I], &T.Forced[I]);
       if (!Forced)
         std::this_thread::yield();
@@ -304,8 +301,7 @@ CraftyThread::CraftyThread(CraftyRuntime &Rt, unsigned ThreadId)
       Tx(Rt.Htm, ThreadId, /*RngSeed=*/ThreadId + 1),
       ForceTx(Rt.Htm, ThreadId, /*RngSeed=*/ThreadId + 1000003),
       Log(logRegionFor(Rt.Pool.base(), *Rt.Header, ThreadId)),
-      RetryBackoff(Rt.Config.BackoffMinSpins, Rt.Config.BackoffMaxSpins,
-                   /*Seed=*/ThreadId + 7) {
+      RetryBackoff(/*Seed=*/ThreadId + 7) {
   Mirror.reserve(1024);
   SectionMirror.reserve(1024);
   ChunkMirror.reserve(Rt.Config.InitialChunkK + 1);
@@ -450,9 +446,10 @@ void CraftyThread::waitSglFree() {
   // holder may be descheduled (a loaded or oversubscribed box), and an
   // unbounded pause-heavy spin would burn this thread's quantum without
   // letting the holder run.
+  constexpr unsigned MaxPauses = 128;
   unsigned Spins = 0;
   while (HtmRuntime::plainLoad(&Rt.SglWord) != 0) {
-    if (++Spins > Rt.Config.SglWaitSpinBound)
+    if (++Spins > MaxPauses)
       std::this_thread::yield();
     else
       cpuPause();
@@ -609,8 +606,6 @@ bool CraftyThread::tryThreadSafe(TxnBody Body) {
       continue;
     }
     if (LO == LogOutcome::ReadOnly) {
-      if (CRAFTY_UNLIKELY(!Rt.Config.ReadOnlyClockElision))
-        Rt.Htm.advanceClock(); // Ablation: the naive bump-per-commit.
       ++Stats.ReadOnly;
       performDeferredFrees();
       return true;
@@ -621,6 +616,8 @@ bool CraftyThread::tryThreadSafe(TxnBody Body) {
     // Redo phase (skipped by Crafty-NoRedo).
     bool TryValidate = Rt.Config.DisableRedo;
     if (!Rt.Config.DisableRedo) {
+      // Conflict aborts tolerated in Redo before falling to Validate.
+      constexpr unsigned MaxRedoTries = 3;
       unsigned RedoTries = 0;
       for (;;) {
         PhaseOutcome PO = redoPhase();
@@ -638,7 +635,7 @@ bool CraftyThread::tryThreadSafe(TxnBody Body) {
         }
         if (++Attempts >= Rt.Config.SglAttemptThreshold)
           return false;
-        if (++RedoTries >= Rt.Config.RedoRetries) {
+        if (++RedoTries >= MaxRedoTries) {
           TryValidate = true;
           break;
         }
@@ -846,8 +843,7 @@ void CraftyThread::runChunkedSection(TxnBody Body, bool AcquireSgl) {
 }
 
 void CraftyThread::acquireSgl() {
-  ExpBackoff Backoff(Rt.Config.BackoffMinSpins, Rt.Config.BackoffMaxSpins,
-                     /*Seed=*/ThreadId + 0x51);
+  ExpBackoff Backoff(/*Seed=*/ThreadId + 0x51);
   while (!Rt.Htm.nonTxCas(&Rt.SglWord, 0, 1))
     Backoff.backoff();
   if (CRAFTY_UNLIKELY(Race != nullptr))

@@ -53,9 +53,6 @@ struct CraftyConfig {
   /// Aborts (across Log/Redo/Validate) before falling back to the SGL.
   unsigned SglAttemptThreshold = 10;
 
-  /// Non-check-failure Redo retries before trying Validate.
-  unsigned RedoRetries = 3;
-
   /// Initial persistent writes per hardware transaction in the chunked
   /// (thread-unsafe / SGL) mode; halved after each abort (Section 4.4).
   unsigned InitialChunkK = 64;
@@ -64,49 +61,6 @@ struct CraftyConfig {
   /// back. The paper defines MAX_LAG in time units; commit timestamps here
   /// are global-version-clock values, so the lag is a commit-count bound.
   uint64_t MaxLag = 1ull << 32;
-
-  /// Retries when forcing a delinquent thread's empty commit.
-  unsigned ForceRetryLimit = 64;
-
-  //===--------------------------------------------------------------------===//
-  // Contention knobs (multi-thread scaling). The first three forward into
-  // the HtmRuntime's tuning (HtmTuning) at construction; the backoff and
-  // SGL-wait bounds govern the Crafty retry loops directly.
-  //===--------------------------------------------------------------------===//
-
-  /// Read-only transactions commit by sample-and-validate without
-  /// advancing the global version clock. Off (the ablation's naive
-  /// position) bumps the clock once per read-only commit, the behavior of
-  /// a runtime that timestamps every commit -- and the reason read-mostly
-  /// phases invalidate every core's clock line.
-  bool ReadOnlyClockElision = true;
-
-  /// Timestamp extension on reads (HtmTuning::SnapshotExtension): a read
-  /// of a stripe newer than the snapshot revalidates the read set against
-  /// the current clock and continues instead of aborting.
-  bool SnapshotExtension = true;
-
-  /// Commit-time write-stripe locking in sorted address order
-  /// (HtmTuning::SortWriteSet).
-  bool SortWriteSet = true;
-
-  /// Dense-array write-set lookup below this size, hash table above
-  /// (HtmTuning::WriteSetHashThreshold). 0 = always hash -- the default;
-  /// measured faster on this host at every write-set size (the probed
-  /// table lines stay cache-resident; DESIGN.md 7.3).
-  size_t WriteSetHashThreshold = 0;
-
-  /// Abort-retry backoff (support/Spin.h ExpBackoff): first and maximum
-  /// pause window of the bounded exponential backoff with jitter applied
-  /// between aborted attempts; past the cap every retry also yields.
-  /// BackoffMaxSpins = 0 retries with a bare yield (no pausing).
-  unsigned BackoffMinSpins = 32;
-  unsigned BackoffMaxSpins = 4096;
-
-  /// waitSglFree pauses at most this many times before yielding on every
-  /// further iteration, so a descheduled SGL holder cannot livelock
-  /// waiters on a loaded box.
-  unsigned SglWaitSpinBound = 128;
 
   /// Collect per-phase wall-clock times into PtmStats (two clock reads
   /// per phase; off by default to keep the hot path clean).

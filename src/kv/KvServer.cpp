@@ -578,7 +578,9 @@ void KvServer::startScatterGather(
   // Flush the staged batches first: pieces posted to other workers must
   // not overtake operations staged before this request (a pipelined SET
   // of a key this MGET reads, for instance). The executed slots stay
-  // Staged and release at the commit point as usual.
+  // Staged and release at the commit point as usual. This request's slot
+  // leaves Staged first, so the flush does not stamp it as executed.
+  S.St = Slot::WaitingSg;
   executeStaged(Wk);
   auto Sg = std::make_shared<SgRequest>();
   Sg->Op = Req.Op;
@@ -607,7 +609,6 @@ void KvServer::startScatterGather(
   }
   Sg->Remaining.store((unsigned)Sg->Pieces.size(),
                       std::memory_order_relaxed);
-  S.St = Slot::WaitingSg;
   S.Sg = Sg;
   ++Wk.S.SgRequests;
   ++C.SgInFlight; // Later requests on this connection park behind it.

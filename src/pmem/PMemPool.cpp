@@ -9,6 +9,7 @@
 
 #include "support/Clock.h"
 #include "support/Compiler.h"
+#include "support/Spin.h"
 
 #include <cassert>
 #include <cstdlib>
@@ -68,9 +69,7 @@ PMemPool::PMemPool(PMemConfig Config) : Config(Config) {
       Image = HeapImage.get();
       std::memset(Image, 0, Bytes);
     }
-    Dirty = std::make_unique<std::atomic<uint8_t>[]>(NumLines);
-    for (size_t I = 0; I != NumLines; ++I)
-      Dirty[I].store(0, std::memory_order_relaxed);
+    CleanGen = std::make_unique<std::atomic<uint32_t>[]>(NumLines);
     DirtySummaryWords = (NumLines + 63) / 64;
     DirtySummary = std::make_unique<std::atomic<uint64_t>[]>(DirtySummaryWords);
     for (size_t I = 0; I != DirtySummaryWords; ++I)
@@ -261,8 +260,23 @@ void PMemPool::drainRemote(uint32_t ThreadId) {
 }
 
 void PMemPool::copyLineToImage(size_t Line) {
-  // Clear the dirty flag before copying: a racing store re-marks the line.
-  Dirty[Line].store(0, std::memory_order_relaxed);
+  // Take the line's copy lock, so a copy delayed between its reads and its
+  // image writes cannot overwrite a newer copy of the same line.
+  std::atomic<uint32_t> &Clean = CleanGen[Line];
+  SpinBackoff Backoff;
+  for (;;) {
+    uint32_t C = Clean.load(std::memory_order_relaxed);
+    if (!(C & 1) &&
+        Clean.compare_exchange_weak(C, C | 1, std::memory_order_acquire,
+                                    std::memory_order_relaxed))
+      break;
+    Backoff.pause();
+  }
+  // Read the generation before the data. The acquire pairs with each
+  // store's generation bump, which follows that store's data: every store
+  // counted in Gen is in the copy, and any later one leaves LineGen past
+  // Gen, so the line stays dirty.
+  uint32_t Gen = LineGen[Line].load(std::memory_order_acquire);
   auto *Src = reinterpret_cast<const uint64_t *>(Base + Line * CacheLineBytes);
   auto *Dst = reinterpret_cast<uint64_t *>(Image + Line * CacheLineBytes);
   // Word-granular copies: NVM guarantees persistence at word granularity
@@ -272,6 +286,7 @@ void PMemPool::copyLineToImage(size_t Line) {
     uint64_t V = __atomic_load_n(Src + W, __ATOMIC_RELAXED);
     __atomic_store_n(Dst + W, V, __ATOMIC_RELAXED);
   }
+  Clean.store(Gen << 1, std::memory_order_release); // Clean up to Gen; unlock.
 }
 
 namespace {
@@ -305,20 +320,23 @@ void PMemPool::onCommittedStore(void *Addr, uint64_t OldVal,
 
 void PMemPool::committedStoreCommon(void *Addr) {
   size_t Line = lineIndex(Addr);
-  // Bump the line's store generation first: any CLWB already armed for
-  // this line no longer covers its content, so the coalescing filter must
-  // let the next flush of it through.
+  // Bump the line's store generation, after the store's data: any CLWB
+  // already armed for this line no longer covers its content, so the
+  // coalescing filter must let the next flush of it through, and in
+  // Tracked mode the bump marks the line dirty (see CleanGen).
   if (LineGen)
-    LineGen[Line].fetch_add(1, std::memory_order_relaxed);
+    LineGen[Line].fetch_add(1, std::memory_order_seq_cst);
   if (Config.Mode != PMemMode::Tracked)
     return;
-  Dirty[Line].store(1, std::memory_order_relaxed);
   // Publish to the coarse summary only when the bit is not already set:
   // the common case (a hot line re-dirtied within one barrier window) is
-  // then a single relaxed load with no write traffic.
+  // then a single load with no write traffic. Skipping on a set bit is
+  // safe because the bump and this load are seq_cst, as are a flusher's
+  // exchange of the word and its generation load: if the bit we saw is
+  // cleared by a flusher, that flusher sees our bump and copies the line.
   std::atomic<uint64_t> &Word = DirtySummary[Line >> 6];
   uint64_t Bit = 1ull << (Line & 63);
-  if (!(Word.load(std::memory_order_relaxed) & Bit))
+  if (!(Word.load(std::memory_order_seq_cst) & Bit))
     Word.fetch_or(Bit, std::memory_order_relaxed);
   if (Config.EvictionPerMillion == 0)
     return;
@@ -402,7 +420,7 @@ void PMemPool::evictRandomLines(size_t MaxLines) {
   }
   for (size_t I = 0; I != MaxLines; ++I) {
     size_t Line = EvictionRngPtr->nextBounded(NumLines);
-    if (Dirty[Line].load(std::memory_order_relaxed)) {
+    if (lineDirty(Line)) {
       copyLineToImage(Line);
       EvictCount.fetch_add(1, std::memory_order_relaxed);
       if (CRAFTY_UNLIKELY(Observer != nullptr))
@@ -442,11 +460,11 @@ void PMemPool::flushEverythingNoWait() {
     for (size_t W = 0; W != DirtySummaryWords; ++W) {
       if (!DirtySummary[W].load(std::memory_order_relaxed))
         continue;
-      uint64_t Bits = DirtySummary[W].exchange(0, std::memory_order_relaxed);
+      uint64_t Bits = DirtySummary[W].exchange(0, std::memory_order_seq_cst);
       while (Bits) {
         size_t Line = W * 64 + (size_t)__builtin_ctzll(Bits);
         Bits &= Bits - 1;
-        if (Dirty[Line].load(std::memory_order_relaxed)) {
+        if (lineDirty(Line)) {
           copyLineToImage(Line);
           EvictCount.fetch_add(1, std::memory_order_relaxed);
         }
@@ -464,7 +482,8 @@ void PMemPool::crash() {
   // Callers must have quiesced all threads (a real crash stops the world).
   std::memcpy(Base, Image, Bytes);
   for (size_t I = 0; I != NumLines; ++I)
-    Dirty[I].store(0, std::memory_order_relaxed);
+    CleanGen[I].store(LineGen[I].load(std::memory_order_relaxed) << 1,
+                      std::memory_order_relaxed);
   for (size_t I = 0; I != DirtySummaryWords; ++I)
     DirtySummary[I].store(0, std::memory_order_relaxed);
   for (unsigned I = 0; I != Config.MaxThreads; ++I) {
@@ -488,7 +507,7 @@ std::vector<uint8_t> PMemPool::imageSnapshot() const {
 bool PMemPool::isLineDirty(const void *Addr) const {
   if (Config.Mode != PMemMode::Tracked)
     return false;
-  return Dirty[lineIndex(Addr)].load(std::memory_order_relaxed) != 0;
+  return lineDirty(lineIndex(Addr));
 }
 
 PMemStats PMemPool::stats() const {
@@ -507,7 +526,7 @@ void PMemPool::reset() {
   if (Config.Mode == PMemMode::Tracked) {
     std::memset(Image, 0, Bytes);
     for (size_t I = 0; I != NumLines; ++I)
-      Dirty[I].store(0, std::memory_order_relaxed);
+      CleanGen[I].store(0, std::memory_order_relaxed);
     for (size_t I = 0; I != DirtySummaryWords; ++I)
       DirtySummary[I].store(0, std::memory_order_relaxed);
   }

@@ -323,6 +323,12 @@ private:
   }
   void copyLineToImage(size_t Line);
   void committedStoreCommon(void *Addr);
+  /// Tracked mode: true if a store to \p Line committed after the line's
+  /// last copy to the image read its generation.
+  bool lineDirty(size_t Line) const {
+    return (LineGen[Line].load(std::memory_order_seq_cst) << 1) !=
+           (CleanGen[Line].load(std::memory_order_acquire) & ~1u);
+  }
 
   /// Pending-line filter entries per thread slot. Direct-mapped: a
   /// collision only forgets that a line is pending (re-arming it, which
@@ -340,11 +346,18 @@ private:
   std::unique_ptr<uint8_t[]> HeapImage;
   int BackingFd = -1;
   bool AttachedFromImage = false;
-  std::unique_ptr<std::atomic<uint8_t>[]> Dirty;
-  /// Coarse may-be-dirty bitmap over Dirty, one bit per line grouped 64
-  /// lines per word, so flushEverything scans NumLines/64 words instead
+  /// Per-line image-copy state (Tracked mode): bits 1.. hold LineGen, as
+  /// read by the line's last completed copy to the image, shifted left by
+  /// one; bit 0 is set while a copy holds the line. A line is dirty when
+  /// its LineGen has moved past that value (compared modulo 2^31). Copies
+  /// of one line serialize on bit 0, so a copy that read older data can
+  /// never land after a newer one.
+  std::unique_ptr<std::atomic<uint32_t>[]> CleanGen;
+  /// Coarse may-be-dirty bitmap over the lines, one bit per line grouped
+  /// 64 lines per word, so flushEverything scans NumLines/64 words instead
   /// of every line. A set bit whose line is clean is self-cleaning (the
-  /// scan drops it); a dirty line always has its bit set.
+  /// scan drops it); a dirty line always has its bit set, or a flusher
+  /// that cleared the bit sees the line dirty (see committedStoreCommon).
   std::unique_ptr<std::atomic<uint64_t>[]> DirtySummary;
   size_t DirtySummaryWords = 0;
   std::atomic<size_t> CarveOffset{0};
@@ -393,7 +406,8 @@ private:
   /// whenever an observer is installed; null otherwise (LatencyOnly with
   /// no observer, where nothing can observe a suppressed re-flush). The
   /// filter compares the generation captured at arm time so a re-dirtied
-  /// line is never coalesced away.
+  /// line is never coalesced away; in Tracked mode the generation also
+  /// marks the line dirty against CleanGen.
   std::unique_ptr<std::atomic<uint32_t>[]> LineGen;
 
   std::atomic<uint64_t> ClwbCount{0};

@@ -58,13 +58,13 @@ private:
 /// host with fewer cores than threads).
 class ExpBackoff {
 public:
-  /// \p MinSpins is the first window, \p MaxSpins the cap; \p Seed
-  /// decorrelates the jitter streams of different threads. MaxSpins == 0
-  /// degenerates to yield-per-call (no pausing).
-  ExpBackoff(uint32_t MinSpins, uint32_t MaxSpins, uint64_t Seed)
-      : MinSpins(MinSpins ? MinSpins : 1), MaxSpins(MaxSpins),
-        Window(this->MinSpins),
-        RngState(Seed * 0x9e3779b97f4a7c15ull + 0x632be59bd9b4e019ull) {}
+  /// First pause window and its cap, in PAUSE instructions.
+  static constexpr uint32_t MinSpins = 32;
+  static constexpr uint32_t MaxSpins = 4096;
+
+  /// \p Seed decorrelates the jitter streams of different threads.
+  explicit ExpBackoff(uint64_t Seed)
+      : RngState(Seed * 0x9e3779b97f4a7c15ull + 0x632be59bd9b4e019ull) {}
 
   /// Escalating wait: call once after each failed attempt.
   void backoff() {
@@ -93,9 +93,7 @@ private:
     return RngState * 0x2545f4914f6cdd1dull;
   }
 
-  uint32_t MinSpins;
-  uint32_t MaxSpins;
-  uint32_t Window;
+  uint32_t Window = MinSpins;
   uint64_t RngState;
 };
 

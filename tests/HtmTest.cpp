@@ -108,30 +108,10 @@ TEST_F(HtmTest, ConflictingCommitAbortsReader) {
   EXPECT_EQ(Out, 0u);
 }
 
-TEST_F(HtmTest, StaleReadAbortsImmediatelyWithoutExtension) {
-  makeRuntime();
-  HtmTuning Tuning;
-  Tuning.SnapshotExtension = false;
-  Rt->setTuning(Tuning);
-  HtmTx TxA(*Rt, 0), TxB(*Rt, 1);
-  alignas(64) uint64_t X = 0;
-  TxResult RA = runHtmTx(TxA, [&](HtmTx &T) {
-    // Start the snapshot: a harmless read.
-    alignas(64) static uint64_t Dummy = 0;
-    T.load(&Dummy);
-    TxResult RB = runHtmTx(TxB, [&](HtmTx &T2) { T2.store(&X, 1); });
-    ASSERT_TRUE(RB.Committed);
-    T.load(&X); // Newer than our snapshot: abort here.
-    FAIL() << "load of a stale line must abort";
-  });
-  EXPECT_FALSE(RA.Committed);
-  EXPECT_EQ(RA.Code, AbortCode::Conflict);
-}
-
-TEST_F(HtmTest, StaleReadRecoveredBySnapshotExtension) {
-  // Same interleaving as above, but with snapshot extension (the default):
-  // the prior read set (Dummy) is still valid at the current clock, so the
-  // snapshot advances past B's commit and the load returns B's value.
+TEST_F(HtmTest, StaleReadRecoveredByExtendingSnapshot) {
+  // A reads X after B's commit moved X past A's snapshot. A's prior read
+  // set (Dummy) is still valid at the current clock, so the snapshot
+  // advances past B's commit and the load returns B's value.
   makeRuntime();
   HtmTx TxA(*Rt, 0), TxB(*Rt, 1);
   alignas(64) uint64_t X = 0;
@@ -148,7 +128,7 @@ TEST_F(HtmTest, StaleReadRecoveredBySnapshotExtension) {
 
 TEST_F(HtmTest, SnapshotExtensionFailsWhenReadSetChanged) {
   // If a word already read changes, extension must not succeed: the stale
-  // read aborts exactly as without extension.
+  // read aborts with a conflict.
   makeRuntime();
   HtmTx TxA(*Rt, 0), TxB(*Rt, 1);
   alignas(64) uint64_t X = 0, Y = 0;
@@ -166,66 +146,44 @@ TEST_F(HtmTest, SnapshotExtensionFailsWhenReadSetChanged) {
   EXPECT_EQ(RA.Code, AbortCode::Conflict);
 }
 
-TEST_F(HtmTest, DenseWriteSetSpillsToHashCorrectly) {
-  // Cross the dense->hash threshold mid-transaction: reads-own-writes and
-  // the committed values must be identical on both sides of the spill.
+TEST_F(HtmTest, WriteSetReadOwnWritesAndOverwrite) {
+  // Many distinct buffered words: each reads back its own write, an
+  // overwrite of the first slot replaces it, and commit publishes them all.
   makeRuntime();
-  HtmTuning Tuning;
-  Tuning.WriteSetHashThreshold = 4;
-  Rt->setTuning(Tuning);
   HtmTx Tx(*Rt, 0);
-  constexpr size_t N = 16; // 4x the threshold.
+  constexpr size_t N = 16;
   alignas(64) uint64_t Words[N] = {};
   TxResult R = runHtmTx(Tx, [&](HtmTx &T) {
     for (size_t I = 0; I != N; ++I)
       T.store(&Words[I], I + 1);
     for (size_t I = 0; I != N; ++I)
-      EXPECT_EQ(T.load(&Words[I]), I + 1); // Read-own-write after spill.
-    T.store(&Words[0], 100); // Update a pre-spill slot post-spill.
+      EXPECT_EQ(T.load(&Words[I]), I + 1);
+    T.store(&Words[0], 100);
     EXPECT_EQ(T.load(&Words[0]), 100u);
   });
   ASSERT_TRUE(R.Committed);
   EXPECT_EQ(Words[0], 100u);
   for (size_t I = 1; I != N; ++I)
     EXPECT_EQ(Words[I], I + 1);
-}
 
-TEST_F(HtmTest, AlwaysHashWriteSetCommits) {
-  // Threshold 0 = dense mode disabled entirely.
-  makeRuntime();
-  HtmTuning Tuning;
-  Tuning.WriteSetHashThreshold = 0;
-  Rt->setTuning(Tuning);
-  HtmTx Tx(*Rt, 0);
-  alignas(64) uint64_t X = 1, Y = 2;
-  TxResult R = runHtmTx(Tx, [&](HtmTx &T) {
-    T.store(&X, 10);
-    T.store(&Y, T.load(&X) + 10);
-  });
-  ASSERT_TRUE(R.Committed);
-  EXPECT_EQ(X, 10u);
-  EXPECT_EQ(Y, 20u);
-}
-
-TEST_F(HtmTest, UnsortedWriteSetCommitsAndValidates) {
-  // SortWriteSet off: commit locks stripes in insertion order and
-  // validation must still recognize self-owned stripes.
-  makeRuntime();
-  HtmTuning Tuning;
-  Tuning.SortWriteSet = false;
-  Rt->setTuning(Tuning);
-  HtmTx Tx(*Rt, 0);
-  constexpr size_t N = 24;
-  alignas(64) uint64_t Words[N] = {};
-  TxResult R = runHtmTx(Tx, [&](HtmTx &T) {
-    for (size_t I = N; I-- > 0;) { // Descending insertion order.
-      T.load(&Words[I]);           // Read-then-write: validation must see
-      T.store(&Words[I], I + 1);   // the stripe as self-owned at commit.
+  // Stores in descending address order, each after a read of the same
+  // word; commit locks the stripes in sorted order. An unrelated clock
+  // advance forces the read-set walk, which must judge the stripes this
+  // transaction locked by their pre-lock versions.
+  constexpr size_t M = 24;
+  alignas(64) uint64_t More[M] = {};
+  uint64_t SlotsBefore = Tx.stats().ValidatedReadSlots;
+  R = runHtmTx(Tx, [&](HtmTx &T) {
+    for (size_t I = M; I-- > 0;) {
+      T.load(&More[I]);
+      T.store(&More[I], I + 1);
     }
+    Rt->advanceClock();
   });
   ASSERT_TRUE(R.Committed);
-  for (size_t I = 0; I != N; ++I)
-    EXPECT_EQ(Words[I], I + 1);
+  EXPECT_GT(Tx.stats().ValidatedReadSlots, SlotsBefore);
+  for (size_t I = 0; I != M; ++I)
+    EXPECT_EQ(More[I], I + 1);
 }
 
 TEST_F(HtmTest, NonTxStoreBatchPublishesAllWordsOneBump) {

@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <signal.h>
@@ -1016,6 +1017,68 @@ TEST(KvServerConcurrent, CrossShardScatterGatherPipelinedOrdering) {
   Server.stop();
   EXPECT_EQ(Store.checkerViolations(), 0u)
       << Store.formatCheckerViolations();
+}
+
+/// Sums every `"Field":<integer>` in \p Json.
+uint64_t sumJsonField(const std::string &Json, const std::string &Field) {
+  std::string Needle = "\"" + Field + "\":";
+  uint64_t Sum = 0;
+  for (size_t Pos = Json.find(Needle); Pos != std::string::npos;
+       Pos = Json.find(Needle, Pos + 1))
+    Sum += std::strtoull(Json.c_str() + Pos + Needle.size(), nullptr, 10);
+  return Sum;
+}
+
+TEST(KvServerConcurrent, CrossShardMsetQueueWaitIsPlausible) {
+  // Two workers, one per shard: every two-shard MSET takes the
+  // scatter-gather path, which flushes the worker's staged batch before
+  // posting its pieces. That flush must not account the MSET's own slot
+  // as a staged request (its arrival stamp is unset, so the queue wait
+  // would read as the absolute monotonic clock).
+  KvStore Store(smallConfig(2));
+  KvServerConfig SC;
+  SC.Workers = 2;
+  KvServer Server(Store, SC);
+  Server.start();
+  ASSERT_NE(Server.port(), 0);
+
+  uint64_t KeyOnShard[2] = {~0ull, ~0ull};
+  for (uint64_t K = 0; K != 1000; ++K)
+    if (KeyOnShard[Store.shardOf(K)] == ~0ull)
+      KeyOnShard[Store.shardOf(K)] = K;
+  ASSERT_NE(KeyOnShard[0], ~0ull);
+  ASSERT_NE(KeyOnShard[1], ~0ull);
+
+  KvClient Client;
+  ASSERT_TRUE(Client.connect(Server.port()));
+  constexpr unsigned Rounds = 20;
+  for (unsigned R = 0; R != Rounds; ++R) {
+    std::vector<std::pair<uint64_t, std::string>> Pairs;
+    for (uint64_t K : KeyOnShard)
+      Pairs.emplace_back(K, valueFor(K, R));
+    // Stage a plain SET ahead of the MSET so the scatter-gather flush
+    // has a batch to execute.
+    Client.sendSet(KeyOnShard[0], "staged");
+    Client.sendMset(Pairs);
+    ASSERT_TRUE(Client.flush());
+    EXPECT_EQ(Client.recvStatus(), KvStatus::Ok);
+    std::vector<KvStatus> Statuses;
+    ASSERT_TRUE(Client.recvStatuses(Pairs.size(), Statuses));
+  }
+  std::string Json;
+  ASSERT_TRUE(Client.stats(Json));
+  size_t Shards = Json.find("\"shards\"");
+  ASSERT_NE(Shards, std::string::npos) << Json;
+  std::string Workers = Json.substr(0, Shards);
+  uint64_t Requests = sumJsonField(Workers, "requests");
+  uint64_t QueueWaitNs = sumJsonField(Workers, "queue_wait_ns");
+  ASSERT_GE(Requests, 2u * Rounds);
+  EXPECT_LT(QueueWaitNs / Requests, 1000000000u)
+      << "queue_wait_ns " << QueueWaitNs << " over " << Requests
+      << " requests";
+
+  Client.quit();
+  Server.stop();
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,11 +8,15 @@
 #include "pmem/PMemAllocator.h"
 #include "pmem/PMemPool.h"
 #include "support/Clock.h"
+#include "support/Spin.h"
 
 #include "gtest/gtest.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 using namespace crafty;
 
@@ -257,6 +261,55 @@ TEST(PMemPool, LatencyModeChargesDrain) {
   T0 = monotonicNanos();
   Pool.drain(0);
   EXPECT_LT(monotonicNanos() - T0, 200000u);
+}
+
+TEST(PMemPool, ConcurrentStoresAndFlushesLeaveNoLineBehind) {
+  // Two threads store to and write back the same 64 lines at once: each
+  // store marks its line dirty while the other thread's drain or
+  // flushEverything copies that line to the image and clears its dirty
+  // state. Whatever the interleaving, a store must either reach the image
+  // through a copy that read it or leave its line dirty and findable, so
+  // once both threads quiesce one flushEverything makes the image equal
+  // to memory with no line left dirty.
+  constexpr unsigned Lines = 64;
+  constexpr unsigned Rounds = 3000;
+  constexpr unsigned Iters = 400;
+  PMemPool Pool(trackedConfig(1 << 16));
+  auto *Words = static_cast<uint64_t *>(Pool.carve(Lines * CacheLineBytes));
+  constexpr unsigned WordsPerLine = CacheLineBytes / 8;
+  unsigned Failures = 0;
+  for (unsigned R = 0; R != Rounds; ++R) {
+    std::atomic<unsigned> Ready{0};
+    auto Worker = [&](uint32_t Tid) {
+      Ready.fetch_add(1);
+      while (Ready.load() != 2)
+        cpuPause();
+      for (unsigned I = 0; I != Iters; ++I) {
+        uint64_t *W = &Words[(I % Lines) * WordsPerLine + I % WordsPerLine];
+        __atomic_store_n(W, ((uint64_t)R << 32) | (I << 1) | Tid,
+                         __ATOMIC_RELEASE);
+        Pool.onCommittedStore(W);
+        if (Tid == 0 || I % 8 != 0) {
+          Pool.clwb(Tid, W);
+          Pool.drain(Tid);
+        } else {
+          Pool.flushEverything();
+        }
+      }
+    };
+    std::thread A(Worker, 0), B(Worker, 1);
+    A.join();
+    B.join();
+    Pool.flushEverything();
+    std::vector<uint8_t> Img = Pool.imageSnapshot();
+    size_t Off = reinterpret_cast<uint8_t *>(Words) - Pool.base();
+    bool Lost =
+        std::memcmp(Img.data() + Off, Words, Lines * CacheLineBytes) != 0;
+    for (unsigned L = 0; L != Lines; ++L)
+      Lost |= Pool.isLineDirty(&Words[L * WordsPerLine]);
+    Failures += Lost;
+  }
+  EXPECT_EQ(Failures, 0u) << "rounds that lost a store, of " << Rounds;
 }
 
 TEST(PMemAllocator, AllocFreeReuse) {
