@@ -323,9 +323,9 @@ std::string formatStats(const std::string &Label, double Scale,
 }
 
 /// Report-only scaling sanity check (the CI perf-smoke gate): 2-thread
-/// Crafty bank_10w throughput should not fall below 1-thread. On 1-core
-/// runners oversubscription makes this expected, so the check warns
-/// rather than fails.
+/// Crafty bank_10w throughput should not fall below 1-thread. Shared or
+/// 1-core hosts can make the 2-thread cell lose on noise or
+/// oversubscription alone, so the check warns rather than fails.
 void checkScaling(const std::vector<CellResult> &Results) {
   for (const char *ShapeName : {"bank_10w"}) {
     double Ops1 = 0, Ops2 = 0;
@@ -342,7 +342,7 @@ void checkScaling(const std::vector<CellResult> &Results) {
       std::fprintf(stderr,
                    "hotpath: SCALING-WARNING %s: 2-thread Crafty "
                    "%.0f ops/s < 1-thread %.0f ops/s (report-only; "
-                   "expected on single-core runners)\n",
+                   "expected on shared or single-core hosts)\n",
                    ShapeName, Ops2, Ops1);
   }
 }

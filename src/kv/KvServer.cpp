@@ -1,4 +1,4 @@
-//===- kv/KvServer.cpp - Share-nothing networked KV front end -------------===//
+//===- kv/KvServer.cpp - Networked KV front end --------------------------===//
 //
 // Part of the Crafty reproduction project.
 // SPDX-License-Identifier: MIT
@@ -198,7 +198,7 @@ void KvServer::workerLoop(unsigned W) {
     commitCycle(Wk);
     if (Stop) {
       // Exit only once no cross-worker work can still land in the inbox:
-      // scatter-gather pieces and their completions are all counted.
+      // STATS pieces and their completions are all counted.
       MutexLock Lk(Wk.InboxMu);
       if (Wk.Inbox.empty() &&
           CrossInFlight.load(std::memory_order_acquire) == 0)
@@ -266,8 +266,8 @@ void KvServer::closeConn(Worker &Wk, Conn &C) {
   ::epoll_ctl(Wk.EpollFd, EPOLL_CTL_DEL, C.Fd, nullptr);
   ::close(C.Fd);
   C.Fd = -1;
-  // Outstanding scatter-gather requests keep their SgRequest alive via
-  // shared_ptr; their completions will find no connection and drop.
+  // An outstanding STATS request keeps its StatsRequest alive via
+  // shared_ptr; its completion will find no connection and drop.
   // The Conn object itself must outlive the cycle: staged operations may
   // hold destinations inside its slots, so it moves to the graveyard and
   // dies at the commit point.
@@ -336,43 +336,41 @@ void KvServer::readReady(Worker &Wk, Conn &C) {
       return;
     }
     Off += R.Consumed;
-    handleRequest(Wk, C, std::move(Req), ArrivalNs);
+    dispatchRequest(Wk, C, std::move(Req), ArrivalNs);
   }
   C.In.erase(0, Off);
-}
-
-void KvServer::handleRequest(Worker &Wk, Conn &C, KvRequest &&Req,
-                             uint64_t NowNs) {
-  // A request behind an in-flight cross-shard operation of the same
-  // connection waits for it: its effects must be visible (and durable)
-  // before anything later executes. Parked before a slot exists --
-  // finishSg replays in FIFO order, so slot order stays request order.
-  if (C.SgInFlight) {
-    C.Parked.push_back(ParkedReq{std::move(Req), NowNs});
-    return;
-  }
-  dispatchRequest(Wk, C, std::move(Req), NowNs);
 }
 
 void KvServer::dispatchRequest(Worker &Wk, Conn &C, KvRequest &&Req,
                                uint64_t NowNs) {
   Slot &S = appendSlot(Wk, C);
   ++Wk.S.Requests;
+  S.Op = Req.Op;
+  S.ArrivalNs = NowNs;
+  // A data request stages one operation per key on the shard the key
+  // routes to -- any shard, since workers share shards through their
+  // own Tids; the commit point executes it inside the shard's cycle
+  // batch. The slot owns the payload the views target and the result
+  // destinations. Per-shard lists keep arrival order, so every operation
+  // observes the connection's earlier ones.
+  auto Stage = [&](const KvCycleOp &Op) {
+    unsigned Shard = Store.shardOf(Op.Key);
+    Wk.StagedOps[Shard].push_back(Op);
+    ++Wk.S.OpsPerShard[Shard];
+  };
   switch (Req.Op) {
+  case KvOp::Stats:
+    startStats(Wk, C, S); // Counted as served once every worker reports.
+    return;
   case KvOp::Ping:
     appendPong(S.Resp);
     S.St = Slot::Ready;
-    Served.fetch_add(1, std::memory_order_relaxed);
-    return;
+    break;
   case KvOp::Quit:
     appendStatus(S.Resp, KvStatus::Ok);
     S.St = Slot::Ready;
     S.CloseAfter = true;
-    Served.fetch_add(1, std::memory_order_relaxed);
-    return;
-  case KvOp::Stats:
-    startStats(Wk, C, S);
-    return;
+    break;
   case KvOp::Get:
   case KvOp::Set:
   case KvOp::Del:
@@ -383,14 +381,8 @@ void KvServer::dispatchRequest(Worker &Wk, Conn &C, KvRequest &&Req,
       // healthy -- the request framed cleanly, it was just too big.
       appendStatus(S.Resp, KvStatus::TooBig);
       S.St = Slot::Ready;
-      Served.fetch_add(1, std::memory_order_relaxed);
-      return;
+      break;
     }
-    // Stage the operation; the commit point executes it inside the
-    // shard's cycle batch. The slot owns the payload the views target.
-    unsigned Shard = Store.shardOf(Req.Key);
-    S.Op = Req.Op;
-    S.ArrivalNs = NowNs;
     S.Val = std::move(Req.Val);
     S.Expect = std::move(Req.Expect);
     KvCycleOp Op;
@@ -408,72 +400,25 @@ void KvServer::dispatchRequest(Worker &Wk, Conn &C, KvRequest &&Req,
       S.Statuses.assign(1, KvStatus::Err);
       Op.Status = &S.Statuses[0];
     }
-    // A single-shard request runs locally even on a foreign shard: the
-    // handoff would cost more than shard affinity buys.
-    Wk.StagedOps[Shard].push_back(Op);
-    ++Wk.S.OpsPerShard[Shard];
-    Served.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  case KvOp::Mget:
-  case KvOp::Mset:
+    Stage(Op);
     break;
   }
-
-  // Multi-key: stage on this worker unless the keys span shards owned
-  // by other workers (then scatter-gather).
-  size_t N = Req.Op == KvOp::Mget ? Req.Keys.size() : Req.Pairs.size();
-  if (N == 0) {
-    if (Req.Op == KvOp::Mget)
-      appendValuesHeader(S.Resp, 0);
-    else
-      appendStatusesHeader(S.Resp, 0);
-    S.St = Slot::Ready;
-    Served.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  std::vector<std::vector<uint32_t>> ByShard(Store.numShards());
-  bool Local = true;
-  for (uint32_t I = 0; I != (uint32_t)N; ++I) {
-    // Skimmed MSET pairs are answered `ERR toobig` in place and never
-    // staged (their payload was discarded by the parser).
-    if (Req.Op == KvOp::Mset && I < Req.PairTooLarge.size() &&
-        Req.PairTooLarge[I])
-      continue;
-    uint64_t Key =
-        Req.Op == KvOp::Mget ? Req.Keys[I] : Req.Pairs[I].first;
-    unsigned Shard = Store.shardOf(Key);
-    if (ByShard[Shard].empty())
-      Local &= shardWorker(Shard) == Wk.Idx;
-    ByShard[Shard].push_back(I);
-  }
-  unsigned Groups = 0;
-  for (const auto &G : ByShard)
-    Groups += !G.empty();
-  if (!Local && Groups > 1)
-    return startScatterGather(Wk, C, S, std::move(Req), ByShard, NowNs);
-
-  // Local multi-key: stage each key on its shard in request order. The
-  // per-shard lists keep arrival order, so the rendered response is
-  // consistent with every earlier staged operation.
-  S.Op = Req.Op;
-  S.ArrivalNs = NowNs;
-  if (Req.Op == KvOp::Mget) {
-    std::vector<uint64_t> Keys = std::move(Req.Keys);
-    S.Results.resize(N);
-    for (uint32_t I = 0; I != (uint32_t)N; ++I) {
+  case KvOp::Mget:
+    S.Results.resize(Req.Keys.size());
+    for (size_t I = 0; I != Req.Keys.size(); ++I) {
       KvCycleOp Op;
       Op.K = KvCycleOp::Get;
-      Op.Key = Keys[I];
+      Op.Key = Req.Keys[I];
       Op.Result = &S.Results[I];
-      unsigned Shard = Store.shardOf(Op.Key);
-      Wk.StagedOps[Shard].push_back(Op);
-      ++Wk.S.OpsPerShard[Shard];
+      Stage(Op);
     }
-  } else {
+    break;
+  case KvOp::Mset:
     S.Pairs = std::move(Req.Pairs);
-    S.Statuses.assign(N, KvStatus::Err);
-    for (uint32_t I = 0; I != (uint32_t)N; ++I) {
+    S.Statuses.assign(S.Pairs.size(), KvStatus::Err);
+    for (size_t I = 0; I != S.Pairs.size(); ++I) {
+      // A skimmed pair is answered `ERR toobig` in place and never
+      // staged (the parser discarded its payload).
       if (I < Req.PairTooLarge.size() && Req.PairTooLarge[I]) {
         S.Statuses[I] = KvStatus::TooBig;
         continue;
@@ -483,10 +428,9 @@ void KvServer::dispatchRequest(Worker &Wk, Conn &C, KvRequest &&Req,
       Op.Key = S.Pairs[I].first;
       Op.Val = S.Pairs[I].second;
       Op.Status = &S.Statuses[I];
-      unsigned Shard = Store.shardOf(Op.Key);
-      Wk.StagedOps[Shard].push_back(Op);
-      ++Wk.S.OpsPerShard[Shard];
+      Stage(Op);
     }
+    break;
   }
   Served.fetch_add(1, std::memory_order_relaxed);
 }
@@ -512,17 +456,16 @@ void KvServer::executeStaged(Worker &Wk) {
   uint64_t T2 = monotonicNanos();
   Wk.S.ExecuteNs += T2 - T1;
   // Stamp the slots this execution covered: queue wait is arrival to
-  // first execution, and ExecEndNs anchors commit-wait at release.
+  // execution, and ExecEndNs anchors commit-wait at release.
   for (uint64_t Id : Wk.DirtyConns) {
     auto It = Wk.Conns.find(Id);
     if (It == Wk.Conns.end())
       continue;
     for (Slot &S : It->second->Pending) {
-      if (S.St != Slot::Staged || S.ExecEndNs)
+      if (S.St != Slot::Staged)
         continue;
       S.ExecEndNs = T2;
       Wk.S.QueueWaitNs += T1 - std::min(S.ArrivalNs, T1);
-      S.ArrivalNs = 0;
     }
   }
 }
@@ -569,131 +512,8 @@ void KvServer::renderSlotResponse(Slot &S) {
 }
 
 //===----------------------------------------------------------------------===//
-// Scatter-gather (cross-shard MGET/MSET, STATS)
+// STATS (the only cross-worker request)
 //===----------------------------------------------------------------------===//
-
-void KvServer::startScatterGather(
-    Worker &Wk, Conn &C, Slot &S, KvRequest &&Req,
-    const std::vector<std::vector<uint32_t>> &ByShard, uint64_t NowNs) {
-  // Flush the staged batches first: pieces posted to other workers must
-  // not overtake operations staged before this request (a pipelined SET
-  // of a key this MGET reads, for instance). The executed slots stay
-  // Staged and release at the commit point as usual. This request's slot
-  // leaves Staged first, so the flush does not stamp it as executed.
-  S.St = Slot::WaitingSg;
-  executeStaged(Wk);
-  auto Sg = std::make_shared<SgRequest>();
-  Sg->Op = Req.Op;
-  Sg->OwnerWorker = Wk.Idx;
-  Sg->ConnId = C.Id;
-  Sg->SlotSeq = S.SlotSeq;
-  Sg->PostedNs = NowNs;
-  if (Req.Op == KvOp::Mget) {
-    Sg->Keys = std::move(Req.Keys);
-    Sg->Results.resize(Sg->Keys.size());
-  } else {
-    Sg->Pairs = std::move(Req.Pairs);
-    Sg->Statuses.assign(Sg->Pairs.size(), KvStatus::Err);
-    // Skimmed pairs were excluded from every piece; answer them here.
-    for (size_t I = 0;
-         I != Req.PairTooLarge.size() && I != Sg->Statuses.size(); ++I)
-      if (Req.PairTooLarge[I])
-        Sg->Statuses[I] = KvStatus::TooBig;
-  }
-  for (unsigned Shard = 0; Shard != ByShard.size(); ++Shard) {
-    if (ByShard[Shard].empty())
-      continue;
-    Sg->Pieces.emplace_back();
-    Sg->Pieces.back().Shard = Shard;
-    Sg->Pieces.back().Idx = ByShard[Shard];
-  }
-  Sg->Remaining.store((unsigned)Sg->Pieces.size(),
-                      std::memory_order_relaxed);
-  S.Sg = Sg;
-  ++Wk.S.SgRequests;
-  ++C.SgInFlight; // Later requests on this connection park behind it.
-  CrossInFlight.fetch_add(1, std::memory_order_acq_rel);
-  for (unsigned P = 0; P != Sg->Pieces.size(); ++P) {
-    unsigned Target = shardWorker(Sg->Pieces[P].Shard);
-    if (Target == Wk.Idx) {
-      stageSgPiece(Wk, Sg, P, NowNs);
-    } else {
-      InboxMsg Msg;
-      Msg.K = InboxMsg::SgPiece;
-      Msg.Piece = P;
-      Msg.Sg = Sg;
-      postMsg(Target, std::move(Msg));
-    }
-  }
-}
-
-void KvServer::stageSgPiece(Worker &Wk,
-                            const std::shared_ptr<SgRequest> &Sg,
-                            unsigned Piece, uint64_t NowNs) {
-  // Stage the piece's keys onto the shard's cycle batch; destinations
-  // live in the shared SgRequest, disjoint per piece. Execution happens
-  // at this worker's commit point, inside its group-commit batch.
-  const SgRequest::Piece &P = Sg->Pieces[Piece];
-  Wk.S.QueueWaitNs += NowNs - std::min(Sg->PostedNs, NowNs);
-  ++Wk.S.SgPieces;
-  for (uint32_t I : P.Idx) {
-    KvCycleOp Op;
-    if (Sg->Op == KvOp::Mget) {
-      Op.K = KvCycleOp::Get;
-      Op.Key = Sg->Keys[I];
-      Op.Result = &Sg->Results[I];
-    } else {
-      Op.K = KvCycleOp::Set;
-      Op.Key = Sg->Pairs[I].first;
-      Op.Val = Sg->Pairs[I].second;
-      Op.Status = &Sg->Statuses[I];
-    }
-    Wk.StagedOps[P.Shard].push_back(Op);
-  }
-  Wk.S.OpsPerShard[P.Shard] += P.Idx.size();
-  // The completion decrement waits for this cycle's execution and
-  // barrier: a piece is reported done only once its writes are durable.
-  Wk.PieceDecs.push_back(Sg);
-}
-
-void KvServer::finishSg(Worker &Wk, const std::shared_ptr<SgRequest> &Sg) {
-  CrossInFlight.fetch_sub(1, std::memory_order_acq_rel);
-  auto It = Wk.Conns.find(Sg->ConnId);
-  if (It == Wk.Conns.end())
-    return; // Connection closed while the request was in flight.
-  Conn &C = *It->second;
-  for (Slot &S : C.Pending) {
-    if (S.SlotSeq != Sg->SlotSeq)
-      continue;
-    if (Sg->Op == KvOp::Mget) {
-      appendValuesHeader(S.Resp, Sg->Results.size());
-      for (const KvResult &R : Sg->Results) {
-        if (R.Status == KvStatus::Ok)
-          appendValue(S.Resp, R.Value);
-        else
-          appendNotFound(S.Resp);
-      }
-    } else {
-      appendStatusesHeader(S.Resp, Sg->Statuses.size());
-      for (KvStatus St : Sg->Statuses)
-        appendStatus(S.Resp, St);
-    }
-    S.St = Slot::Ready;
-    S.Sg.reset();
-    Wk.S.CommitWaitNs += monotonicNanos() - Sg->PostedNs;
-    Served.fetch_add(1, std::memory_order_relaxed);
-    markDirty(Wk, C);
-    break;
-  }
-  // Replay requests parked behind this scatter-gather, in order. A
-  // replayed cross-shard request re-parks whatever is still behind it.
-  --C.SgInFlight;
-  while (!C.Parked.empty() && C.SgInFlight == 0 && C.Fd >= 0) {
-    ParkedReq P = std::move(C.Parked.front());
-    C.Parked.pop_front();
-    dispatchRequest(Wk, C, std::move(P.Req), P.ArrivalNs);
-  }
-}
 
 void KvServer::startStats(Worker &Wk, Conn &C, Slot &S) {
   auto St = std::make_shared<StatsRequest>();
@@ -704,7 +524,7 @@ void KvServer::startStats(Worker &Wk, Conn &C, Slot &S) {
   St->Htm.assign(NumWorkers,
                  std::vector<HtmStats>(Store.numShards()));
   St->Remaining.store(NumWorkers, std::memory_order_relaxed);
-  S.St = Slot::WaitingSg;
+  S.St = Slot::WaitingStats;
   S.Stats = St;
   CrossInFlight.fetch_add(1, std::memory_order_acq_rel);
   for (unsigned W = 0; W != NumWorkers; ++W) {
@@ -750,8 +570,6 @@ std::string KvServer::formatStatsJson(const StatsRequest &St) {
     appendJsonU64(J, "commit_wait_ns", S.CommitWaitNs);
     appendJsonU64(J, "barriers", S.Barriers);
     appendJsonU64(J, "barrier_ns", S.BarrierNs);
-    appendJsonU64(J, "sg_requests", S.SgRequests);
-    appendJsonU64(J, "sg_pieces", S.SgPieces);
     J += "\"ops_per_shard\":[";
     for (unsigned Sh = 0; Sh != Store.numShards(); ++Sh) {
       if (Sh)
@@ -830,17 +648,10 @@ void KvServer::processInbox(Worker &Wk) {
     MutexLock Lk(Wk.InboxMu);
     Batch.swap(Wk.Inbox);
   }
-  uint64_t NowNs = Batch.empty() ? 0 : monotonicNanos();
   for (InboxMsg &Msg : Batch) {
     switch (Msg.K) {
     case InboxMsg::NewConn:
       adoptConn(Wk, Msg.Fd);
-      break;
-    case InboxMsg::SgPiece:
-      stageSgPiece(Wk, Msg.Sg, Msg.Piece, NowNs);
-      break;
-    case InboxMsg::SgDone:
-      finishSg(Wk, Msg.Sg);
       break;
     case InboxMsg::StatsPiece:
       fillStatsContribution(Wk, Msg.Stats);
@@ -853,58 +664,28 @@ void KvServer::processInbox(Worker &Wk) {
 }
 
 void KvServer::commitCycle(Worker &Wk) {
-  // Rounds: completing scatter-gather pieces can unpark requests that
-  // stage more work (finishSg replay), so repeat until quiescent before
-  // releasing responses.
-  while (true) {
-    bool Any = false;
-    for (const auto &Ops : Wk.StagedOps)
-      if (!Ops.empty()) {
-        Any = true;
-        break;
-      }
-    if (!Any && Wk.PieceDecs.empty())
-      break;
-    // 1. Execute this round's staged batches (one runCycle per shard).
-    executeStaged(Wk);
-    // 2. Group commit, two-phase: begin the barrier on every shard this
-    //    round wrote (cache write-back + forced commits), then end them
-    //    all -- the per-shard fixed drain latencies overlap in the end
-    //    pass instead of serializing.
-    uint64_t T0 = monotonicNanos();
-    std::vector<std::pair<unsigned, PersistBarrierTicket>> Open;
-    for (unsigned S = 0; S != (unsigned)Wk.Touched.size(); ++S) {
-      if (!Wk.Touched[S])
-        continue;
-      Wk.Touched[S] = 0;
-      Open.emplace_back(S, PersistBarrierTicket{});
-      Store.shard(S).persistAckBegin(Wk.Idx, Open.back().second);
-    }
-    for (auto &[S, T] : Open)
-      Store.shard(S).persistAckEnd(Wk.Idx, T);
-    if (!Open.empty()) {
-      Wk.S.Barriers += Open.size();
-      Wk.S.BarrierNs += monotonicNanos() - T0;
-    }
-    // 3. Report scatter-gather pieces done -- only now that their writes
-    //    are durable. The last piece routes completion to the owner;
-    //    finishSg may replay parked requests, staging the next round.
-    std::vector<std::shared_ptr<SgRequest>> Decs;
-    Decs.swap(Wk.PieceDecs);
-    for (auto &Sg : Decs) {
-      if (Sg->Remaining.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        continue;
-      if (Sg->OwnerWorker == Wk.Idx) {
-        finishSg(Wk, Sg);
-      } else {
-        InboxMsg Msg;
-        Msg.K = InboxMsg::SgDone;
-        Msg.Sg = Sg;
-        postMsg(Sg->OwnerWorker, std::move(Msg));
-      }
-    }
+  // 1. Execute the cycle's staged batches (one runCycle per shard).
+  executeStaged(Wk);
+  // 2. Group commit, two-phase: begin the barrier on every shard this
+  //    cycle wrote (cache write-back + forced commits), then end them
+  //    all -- the per-shard fixed drain latencies overlap in the end
+  //    pass instead of serializing.
+  uint64_t T0 = monotonicNanos();
+  std::vector<std::pair<unsigned, PersistBarrierTicket>> Open;
+  for (unsigned S = 0; S != (unsigned)Wk.Touched.size(); ++S) {
+    if (!Wk.Touched[S])
+      continue;
+    Wk.Touched[S] = 0;
+    Open.emplace_back(S, PersistBarrierTicket{});
+    Store.shard(S).persistAckBegin(Wk.Idx, Open.back().second);
   }
-  // 4. Release every response staged this cycle (ack follows
+  for (auto &[S, T] : Open)
+    Store.shard(S).persistAckEnd(Wk.Idx, T);
+  if (!Open.empty()) {
+    Wk.S.Barriers += Open.size();
+    Wk.S.BarrierNs += monotonicNanos() - T0;
+  }
+  // 3. Release every response staged this cycle (ack follows
   //    durability): render it from its executed destinations, then
   //    transmit ready runs with writev.
   if (!Wk.DirtyConns.empty()) {
@@ -927,7 +708,7 @@ void KvServer::commitCycle(Worker &Wk) {
       flushConn(Wk, C);
     }
   }
-  // 5. Closed connections can die now: no staged operation can still
+  // 4. Closed connections can die now: no staged operation can still
   //    point into their slots.
   Wk.Doomed.clear();
 }

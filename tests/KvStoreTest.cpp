@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <optional>
 #include <signal.h>
 #include <sys/wait.h>
@@ -812,7 +813,7 @@ TEST(KvServerSmoke, OversizeValueAnswersToobigAndKeepsConnection) {
 }
 
 //===----------------------------------------------------------------------===//
-// Share-nothing server under concurrent load
+// Server under concurrent load
 //===----------------------------------------------------------------------===//
 
 /// Four connections drive mixed operations against a 4-shard server with
@@ -930,90 +931,194 @@ TEST(KvServerConcurrent, FourShardMixedLoadWithCheckers) {
       << Store.formatCheckerViolations();
 }
 
-/// Cross-shard scatter-gather correctness, including the per-connection
-/// ordering guarantee for requests pipelined behind an in-flight
-/// scatter-gather: a GET queued after a cross-shard MSET on the same
-/// connection must observe the MSET, and a cross-shard MSET must observe
-/// (i.e. overwrite) a single-key SET queued just before it.
-TEST(KvServerConcurrent, CrossShardScatterGatherPipelinedOrdering) {
-  KvConfig KC = smallConfig(4);
-  KC.ThreadsPerShard = 4;
+/// Cross-shard MGET/MSET correctness, including the per-connection
+/// ordering guarantee for pipelined requests: a GET queued after a
+/// cross-shard MSET on the same connection must observe the MSET, and a
+/// cross-shard MSET must observe (i.e. overwrite) a single-key SET queued
+/// just before it. Run with one worker serving all four shards and with
+/// four workers sharing them, to show the worker count does not change
+/// the order.
+TEST(KvServerConcurrent, CrossShardPipelinedOrdering) {
+  for (unsigned Workers : {1u, 4u}) {
+    SCOPED_TRACE("Workers = " + std::to_string(Workers));
+    KvConfig KC = smallConfig(4);
+    KC.ThreadsPerShard = 4;
+    KvStore Store(KC);
+    KvServerConfig SC;
+    SC.Workers = Workers;
+    KvServer Server(Store, SC);
+    Server.start();
+    ASSERT_NE(Server.port(), 0);
+
+    // One key per shard, so the MSETs below span all four shards.
+    std::vector<uint64_t> KeyOnShard(4, ~0ull);
+    for (uint64_t K = 0; K != 1000 && (KeyOnShard[0] == ~0ull ||
+                                       KeyOnShard[1] == ~0ull ||
+                                       KeyOnShard[2] == ~0ull ||
+                                       KeyOnShard[3] == ~0ull);
+         ++K)
+      if (KeyOnShard[Store.shardOf(K)] == ~0ull)
+        KeyOnShard[Store.shardOf(K)] = K;
+
+    KvClient Client;
+    ASSERT_TRUE(Client.connect(Server.port()));
+
+    // SET then cross-shard MSET of the same key, then GET, all in one
+    // flush: the staged SET must execute before the MSET's write of the
+    // key, and the GET after it.
+    uint64_t Hot = KeyOnShard[0];
+    Client.sendSet(Hot, "pre-mset");
+    std::vector<std::pair<uint64_t, std::string>> Pairs;
+    for (unsigned S = 0; S != 4; ++S)
+      Pairs.emplace_back(KeyOnShard[S], "ms-" + std::to_string(S));
+    Client.sendMset(Pairs);
+    Client.sendGet(Hot);
+    Client.sendSet(Hot, "post-mset");
+    Client.sendGet(Hot);
+    ASSERT_TRUE(Client.flush());
+    EXPECT_EQ(Client.recvStatus(), KvStatus::Ok); // SET pre-mset.
+    std::vector<KvStatus> Statuses;
+    ASSERT_TRUE(Client.recvStatuses(Pairs.size(), Statuses));
+    for (KvStatus St : Statuses)
+      EXPECT_EQ(St, KvStatus::Ok);
+    std::string Out;
+    EXPECT_EQ(Client.recvValue(Out), KvStatus::Ok);
+    EXPECT_EQ(Out, "ms-0"); // The MSET overwrote the pipelined SET.
+    EXPECT_EQ(Client.recvStatus(), KvStatus::Ok);
+    EXPECT_EQ(Client.recvValue(Out), KvStatus::Ok);
+    EXPECT_EQ(Out, "post-mset"); // The later SET ran after the MSET.
+
+    // Cross-shard MGET sees every key of the cross-shard MSET, in
+    // request order, with misses interleaved.
+    std::vector<uint64_t> Keys{KeyOnShard[3], 999983, KeyOnShard[1],
+                               KeyOnShard[0], KeyOnShard[2]};
+    std::vector<std::pair<KvStatus, std::string>> Results;
+    ASSERT_TRUE(Client.mget(Keys, Results));
+    ASSERT_EQ(Results.size(), Keys.size());
+    EXPECT_EQ(Results[0].second, "ms-3");
+    EXPECT_EQ(Results[1].first, KvStatus::NotFound);
+    EXPECT_EQ(Results[2].second, "ms-1");
+    EXPECT_EQ(Results[3].second, "post-mset");
+    EXPECT_EQ(Results[4].second, "ms-2");
+
+    // Two back-to-back cross-shard MSETs of the same keys, then an MGET:
+    // the second MSET's values must win on every shard.
+    for (auto &P : Pairs)
+      P.second += "-v2";
+    Client.sendMset(Pairs);
+    for (auto &P : Pairs)
+      P.second = P.second.substr(0, P.second.size() - 3) + "-v3";
+    Client.sendMset(Pairs);
+    ASSERT_TRUE(Client.flush());
+    ASSERT_TRUE(Client.recvStatuses(Pairs.size(), Statuses));
+    ASSERT_TRUE(Client.recvStatuses(Pairs.size(), Statuses));
+    for (unsigned S = 0; S != 4; ++S) {
+      ASSERT_EQ(Client.get(KeyOnShard[S], Out), KvStatus::Ok);
+      EXPECT_EQ(Out, "ms-" + std::to_string(S) + "-v3");
+    }
+
+    Client.quit();
+    Server.stop();
+    EXPECT_EQ(Store.checkerViolations(), 0u)
+        << Store.formatCheckerViolations();
+  }
+}
+
+/// Two connections on two workers pipeline cross-shard MSETs over the
+/// same keys, so both workers' cycle transactions write the same cells of
+/// both shards concurrently and only the HTM orders them. Values are
+/// self-describing (key, connection, message), so the final state can be
+/// checked against what was sent: every key holds a value some writer sent
+/// for that key, and both dynamic checkers stay clean.
+TEST(KvServerConcurrent, TwoWorkersRaceCrossShardMsetsOnSameKeys) {
+  KvConfig KC = smallConfig(2);
+  KC.EnablePersistCheck = true;
+  KC.EnableTxRaceCheck = true;
   KvStore Store(KC);
   KvServerConfig SC;
-  SC.Workers = 4; // Force one worker per shard: every multi-shard
-                  // request takes the scatter-gather path.
+  SC.Workers = 2;
   KvServer Server(Store, SC);
   Server.start();
   ASSERT_NE(Server.port(), 0);
 
-  // One key per shard, so the MSETs below span all four workers.
-  std::vector<uint64_t> KeyOnShard(4, ~0ull);
-  for (uint64_t K = 0; K != 1000 && (KeyOnShard[0] == ~0ull ||
-                                     KeyOnShard[1] == ~0ull ||
-                                     KeyOnShard[2] == ~0ull ||
-                                     KeyOnShard[3] == ~0ull);
-       ++K)
-    if (KeyOnShard[Store.shardOf(K)] == ~0ull)
-      KeyOnShard[Store.shardOf(K)] = K;
+  std::vector<uint64_t> Keys;
+  unsigned PerShard[2] = {0, 0};
+  for (uint64_t K = 0; K != 1000 && Keys.size() != 8; ++K)
+    if (PerShard[Store.shardOf(K)] < 4) {
+      ++PerShard[Store.shardOf(K)];
+      Keys.push_back(K);
+    }
+  ASSERT_EQ(Keys.size(), 8u);
 
-  KvClient Client;
-  ASSERT_TRUE(Client.connect(Server.port()));
+  auto ValueOf = [](uint64_t Key, unsigned Conn, unsigned Msg) {
+    return "k" + std::to_string(Key) + "-c" + std::to_string(Conn) + "-m" +
+           std::to_string(Msg);
+  };
+  constexpr unsigned NumConns = 2;
+  constexpr unsigned Rounds = 100;
+  constexpr unsigned Depth = 4; // MSETs pipelined per flush.
 
-  // SET then cross-shard MSET of the same key, then GET, all in one
-  // flush: the staged SET must execute before the scatter-gather's
-  // pieces, and the GET must wait for the scatter-gather to finish.
-  uint64_t Hot = KeyOnShard[0];
-  Client.sendSet(Hot, "pre-sg");
-  std::vector<std::pair<uint64_t, std::string>> Pairs;
-  for (unsigned S = 0; S != 4; ++S)
-    Pairs.emplace_back(KeyOnShard[S], "sg-" + std::to_string(S));
-  Client.sendMset(Pairs);
-  Client.sendGet(Hot);
-  Client.sendSet(Hot, "post-sg");
-  Client.sendGet(Hot);
-  ASSERT_TRUE(Client.flush());
-  EXPECT_EQ(Client.recvStatus(), KvStatus::Ok); // SET pre-sg.
-  std::vector<KvStatus> Statuses;
-  ASSERT_TRUE(Client.recvStatuses(Pairs.size(), Statuses));
-  for (KvStatus St : Statuses)
-    EXPECT_EQ(St, KvStatus::Ok);
-  std::string Out;
-  EXPECT_EQ(Client.recvValue(Out), KvStatus::Ok);
-  EXPECT_EQ(Out, "sg-0"); // The MSET overwrote the pipelined SET.
-  EXPECT_EQ(Client.recvStatus(), KvStatus::Ok);
-  EXPECT_EQ(Client.recvValue(Out), KvStatus::Ok);
-  EXPECT_EQ(Out, "post-sg"); // The parked SET ran after the sg.
+  // Connect both clients before either sends: the server hands accepted
+  // connections to workers round-robin, so they land on workers 0 and 1.
+  std::vector<std::unique_ptr<KvClient>> Clients;
+  for (unsigned T = 0; T != NumConns; ++T) {
+    Clients.push_back(std::make_unique<KvClient>());
+    ASSERT_TRUE(Clients.back()->connect(Server.port()));
+  }
+  std::atomic<unsigned> Failures{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumConns; ++T) {
+    Threads.emplace_back([&, T] {
+      KvClient &Client = *Clients[T];
+      for (unsigned R = 0; R != Rounds; ++R) {
+        for (unsigned D = 0; D != Depth; ++D) {
+          std::vector<std::pair<uint64_t, std::string>> Pairs;
+          // Each connection walks the keys in a different order.
+          for (size_t J = 0; J != Keys.size(); ++J) {
+            uint64_t K = Keys[T ? Keys.size() - 1 - J : J];
+            Pairs.emplace_back(K, ValueOf(K, T, R * Depth + D));
+          }
+          Client.sendMset(Pairs);
+        }
+        if (!Client.flush()) {
+          ++Failures;
+          ADD_FAILURE() << "conn " << T << ": flush";
+          return;
+        }
+        for (unsigned D = 0; D != Depth; ++D) {
+          std::vector<KvStatus> Statuses;
+          bool Ok = Client.recvStatuses(Keys.size(), Statuses) &&
+                    Statuses.size() == Keys.size();
+          for (KvStatus St : Statuses)
+            Ok &= St == KvStatus::Ok;
+          if (!Ok) {
+            ++Failures;
+            ADD_FAILURE() << "conn " << T << ": MSET not acknowledged Ok";
+            return;
+          }
+        }
+      }
+    });
+  }
+  for (auto &Th : Threads)
+    Th.join();
+  EXPECT_EQ(Failures.load(), 0u);
 
-  // Cross-shard MGET sees every piece of the cross-shard MSET, in
-  // request order, with misses interleaved.
-  std::vector<uint64_t> Keys{KeyOnShard[3], 999983, KeyOnShard[1],
-                             KeyOnShard[0], KeyOnShard[2]};
   std::vector<std::pair<KvStatus, std::string>> Results;
-  ASSERT_TRUE(Client.mget(Keys, Results));
+  ASSERT_TRUE(Clients[0]->mget(Keys, Results));
   ASSERT_EQ(Results.size(), Keys.size());
-  EXPECT_EQ(Results[0].second, "sg-3");
-  EXPECT_EQ(Results[1].first, KvStatus::NotFound);
-  EXPECT_EQ(Results[2].second, "sg-1");
-  EXPECT_EQ(Results[3].second, "post-sg");
-  EXPECT_EQ(Results[4].second, "sg-2");
-
-  // Two back-to-back cross-shard MSETs of the same keys, then an MGET:
-  // the second MSET's values must win on every shard.
-  for (auto &P : Pairs)
-    P.second += "-v2";
-  Client.sendMset(Pairs);
-  for (auto &P : Pairs)
-    P.second = P.second.substr(0, P.second.size() - 3) + "-v3";
-  Client.sendMset(Pairs);
-  ASSERT_TRUE(Client.flush());
-  ASSERT_TRUE(Client.recvStatuses(Pairs.size(), Statuses));
-  ASSERT_TRUE(Client.recvStatuses(Pairs.size(), Statuses));
-  for (unsigned S = 0; S != 4; ++S) {
-    ASSERT_EQ(Client.get(KeyOnShard[S], Out), KvStatus::Ok);
-    EXPECT_EQ(Out, "sg-" + std::to_string(S) + "-v3");
+  for (size_t J = 0; J != Keys.size(); ++J) {
+    bool Sent = false;
+    for (unsigned T = 0; T != NumConns && !Sent; ++T)
+      for (unsigned M = 0; M != Rounds * Depth && !Sent; ++M)
+        Sent = Results[J].second == ValueOf(Keys[J], T, M);
+    EXPECT_EQ(Results[J].first, KvStatus::Ok) << "key " << Keys[J];
+    EXPECT_TRUE(Sent) << "key " << Keys[J] << " holds \""
+                      << Results[J].second << "\", which no writer sent";
   }
 
-  Client.quit();
+  for (auto &C : Clients)
+    C->quit();
   Server.stop();
   EXPECT_EQ(Store.checkerViolations(), 0u)
       << Store.formatCheckerViolations();
@@ -1030,11 +1135,11 @@ uint64_t sumJsonField(const std::string &Json, const std::string &Field) {
 }
 
 TEST(KvServerConcurrent, CrossShardMsetQueueWaitIsPlausible) {
-  // Two workers, one per shard: every two-shard MSET takes the
-  // scatter-gather path, which flushes the worker's staged batch before
-  // posting its pieces. That flush must not account the MSET's own slot
-  // as a staged request (its arrival stamp is unset, so the queue wait
-  // would read as the absolute monotonic clock).
+  // Two workers on two shards: each two-shard MSET stages one operation
+  // per key on both shards behind a single-key SET, and executeStaged
+  // stamps the queue wait of every slot its cycle covered. A slot
+  // stamped without its arrival time would read as the absolute
+  // monotonic clock.
   KvStore Store(smallConfig(2));
   KvServerConfig SC;
   SC.Workers = 2;
@@ -1056,8 +1161,8 @@ TEST(KvServerConcurrent, CrossShardMsetQueueWaitIsPlausible) {
     std::vector<std::pair<uint64_t, std::string>> Pairs;
     for (uint64_t K : KeyOnShard)
       Pairs.emplace_back(K, valueFor(K, R));
-    // Stage a plain SET ahead of the MSET so the scatter-gather flush
-    // has a batch to execute.
+    // Stage a plain SET ahead of the MSET so the cycle mixes single-key
+    // and cross-shard slots.
     Client.sendSet(KeyOnShard[0], "staged");
     Client.sendMset(Pairs);
     ASSERT_TRUE(Client.flush());
